@@ -4,10 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <new>
+#include <utility>
 
 #include "core/krylov_recycler.hpp"
-#include "gpu/data.hpp"
-#include "gpu/kernels.hpp"
 #include "gpu/runtime.hpp"
 #include "la/blas_dense.hpp"
 #include "precond/precond_registry.hpp"
@@ -15,6 +14,9 @@
 namespace feti::core {
 
 namespace {
+
+using Ptrs = std::vector<double*>;
+using CPtrs = std::vector<const double*>;
 
 /// Finalization floor for the initial projected-residual norm: below it the
 /// right-hand side is numerically zero for this system and λ₀ already
@@ -32,12 +34,15 @@ double w0_floor(idx n, double d_norm) {
 /// per-system step/conjugation coefficients. Panel columns beyond the
 /// revealed rank are numerically dependent on the kept ones and get zero
 /// coefficients — column deflation instead of the per-system `pq <= 0`
-/// breakdown of the lockstep path.
+/// breakdown of the lockstep rule.
 class GramSolver {
  public:
-  void factor(const la::DenseMatrix& gram, double rel_tolerance) {
-    l_ = gram;  // factored in place on the copy
-    perm_.resize(static_cast<std::size_t>(gram.rows()));
+  /// `gram` is the width × width column-major block (leading dimension
+  /// width).
+  void factor(const double* gram, idx width, double rel_tolerance) {
+    l_ = la::DenseMatrix(width, width, la::Layout::ColMajor);
+    std::copy_n(gram, static_cast<std::size_t>(width) * width, l_.data());
+    perm_.resize(static_cast<std::size_t>(width));
     rank_ = la::potrf_pivoted_lower(l_.view(), perm_.data(), rel_tolerance);
   }
   [[nodiscard]] idx rank() const { return rank_; }
@@ -55,44 +60,556 @@ class GramSolver {
     for (idx k = 0; k < rank_; ++k) b[perm_[k]] = t[static_cast<std::size_t>(k)];
   }
 
-  [[nodiscard]] const std::vector<idx>& perm() const { return perm_; }
-
  private:
   la::DenseMatrix l_;
   std::vector<idx> perm_;
   idx rank_ = 0;
 };
 
-/// One contiguous device allocation for a whole device-resident solve,
-/// freed (after draining the device) on every exit path — including the
-/// std::bad_alloc unwinding that triggers the Auto-mode host fallback.
-struct DeviceSlab {
-  gpu::Device& dev;
-  double* data;
-  DeviceSlab(gpu::Device& d, std::size_t count)
-      : dev(d), data(d.alloc_n<double>(count)) {}
-  ~DeviceSlab() {
-    dev.synchronize();
-    dev.free(data);
+/// Column-major n × width view of a contiguous panel.
+la::ConstDenseView panel_view(const double* a, idx n, idx width) {
+  return {a, n, width, n, la::Layout::ColMajor};
+}
+
+/// Loop body: column b of the contiguous panel (leading dimension n) =
+/// srcs[b].
+auto pack(CPtrs srcs, double* panel, idx n) {
+  return [srcs = std::move(srcs), panel, n] {
+    for (std::size_t b = 0; b < srcs.size(); ++b)
+      std::copy_n(srcs[b], n, panel + b * static_cast<std::size_t>(n));
+  };
+}
+
+// ---------------------------------------------------------------------------
+// Vector spaces
+// ---------------------------------------------------------------------------
+//
+// The solver loop is written once over a vector space: where the loop state
+// lives, where its arithmetic runs, and how the four applications (F, M⁻¹,
+// the projector, the recycler projection) consume it. Every loop body is
+// the same la:: arithmetic in both spaces; the host runs it inline, the
+// device submits it on the operator's main stream. Scalars reach the host
+// only through read(), the explicit readback points of the loop.
+
+/// Loop state in host memory; la:: bodies run inline, readback is free.
+class HostSpace {
+ public:
+  HostSpace(DualOperator& f, precond::Preconditioner* m,
+            const Projector& projector)
+      : f_(f), m_(m), projector_(projector) {}
+
+  double* allocate(std::size_t count) {
+    store_.assign(count, 0.0);
+    return store_.data();
   }
-  DeviceSlab(const DeviceSlab&) = delete;
-  DeviceSlab& operator=(const DeviceSlab&) = delete;
+  template <class Body>
+  void exec(Body&& body) {
+    body();
+  }
+  /// Copies the n-vectors srcs[b] into dsts[b].
+  void upload(const Ptrs& dsts, const CPtrs& srcs, idx n) {
+    for (std::size_t b = 0; b < dsts.size(); ++b)
+      std::copy_n(srcs[b], n, dsts[b]);
+  }
+  /// Readback point: `count` values at `src` as host memory (they already
+  /// are; edits land in place).
+  double* read(double* src, std::size_t /*count*/) { return src; }
+  /// Publishes host edits of the last read block back to its source.
+  void commit(double* /*src*/, std::size_t /*count*/) {}
+
+  // Width-1 applications keep the single-vector overloads, so the implicit
+  // operators stay bitwise the same as a solo solve.
+  void apply_f(const double* x, double* y, idx k) {
+    if (k == 1)
+      f_.apply(x, y);
+    else
+      f_.apply(x, y, k);
+  }
+  void apply_m(const double* x, double* y, idx k) {
+    if (k == 1)
+      m_->apply(x, y);
+    else
+      m_->apply(x, y, k);
+  }
+  void project(const CPtrs& xs, const Ptrs& ys) {
+    for (std::size_t b = 0; b < xs.size(); ++b) projector_.apply(xs[b], ys[b]);
+  }
+  void project_out(const KrylovRecycler& recycler, const Ptrs& ys) {
+    for (double* y : ys) recycler.project_out(y, 1);
+  }
+
+ private:
+  DualOperator& f_;
+  precond::Preconditioner* m_;
+  const Projector& projector_;
+  std::vector<double> store_;
 };
 
-}  // namespace
-
-const char* to_string(PreconditionerKind p) {
-  // Exhaustive by construction: a future enumerator fails to compile here
-  // instead of silently aliasing to "lumped" (the old ternary's behavior).
-  switch (p) {
-    case PreconditionerKind::None:
-      return "none";
-    case PreconditionerKind::Lumped:
-      return "lumped";
+/// Loop state in one slab on the dual operator's device for the whole
+/// solve. Bodies are submitted on the main stream; a readback is one D2H +
+/// sync into a host mirror, so per iteration only scalar blocks cross PCIe.
+/// The slab is freed after draining the device on every exit path —
+/// including the std::bad_alloc unwinding that triggers the Auto-mode host
+/// fallback.
+class DeviceSpace {
+ public:
+  DeviceSpace(DualOperator& f, precond::Preconditioner* m,
+              const Projector& projector)
+      : f_(f), m_(m), projector_(projector), ctx_(*f.device_context()),
+        dev_(ctx_.device()), main_(ctx_.main_stream()),
+        // A preconditioner pooled on a different execution context (the
+        // sharded operator anchors on its internal shard-0 context) submits
+        // on streams with no ordering against `main`: drain `main` before
+        // it reads. Same-context preconditioners share the in-order queue.
+        foreign_m_(m != nullptr && m->device_context() != &ctx_) {}
+  ~DeviceSpace() {
+    if (slab_ == nullptr) return;
+    dev_.synchronize();
+    dev_.free(slab_);
   }
-  FETI_ASSERT(false, "to_string: unknown PreconditionerKind");
-  return "none";
+  DeviceSpace(const DeviceSpace&) = delete;
+  DeviceSpace& operator=(const DeviceSpace&) = delete;
+
+  double* allocate(std::size_t count) {
+    slab_ = dev_.alloc_n<double>(count);
+    return slab_;
+  }
+  template <class Body>
+  void exec(Body&& body) {
+    main_.submit(std::forward<Body>(body));
+  }
+  void upload(const Ptrs& dsts, const CPtrs& srcs, idx n) {
+    for (std::size_t b = 0; b < dsts.size(); ++b)
+      main_.memcpy_h2d(dsts[b], srcs[b], bytes(static_cast<std::size_t>(n)));
+    main_.synchronize();
+  }
+  /// The returned mirror stays valid until the next read.
+  double* read(double* src, std::size_t count) {
+    if (count > mirror_.size()) {
+      main_.synchronize();  // a pending commit may still read the mirror
+      mirror_.resize(count);
+    }
+    main_.memcpy_d2h(mirror_.data(), src, bytes(count));
+    main_.synchronize();
+    return mirror_.data();
+  }
+  void commit(double* src, std::size_t count) {
+    main_.memcpy_h2d(src, mirror_.data(), bytes(count));
+  }
+
+  void apply_f(const double* x, double* y, idx k) { f_.apply_device(x, y, k); }
+  void apply_m(const double* x, double* y, idx k) {
+    if (foreign_m_) main_.synchronize();
+    m_->apply_device(x, y, k);
+  }
+  void project(const CPtrs& xs, const Ptrs& ys) {
+    projector_.apply_device(dev_, main_, xs, ys);
+  }
+  void project_out(const KrylovRecycler& recycler, const Ptrs& ys) {
+    recycler.project_out_device(dev_, main_, ys);
+  }
+
+ private:
+  static std::size_t bytes(std::size_t count) { return count * sizeof(double); }
+
+  DualOperator& f_;
+  precond::Preconditioner* m_;
+  const Projector& projector_;
+  gpu::ExecutionContext& ctx_;
+  gpu::Device& dev_;
+  gpu::Stream main_;
+  bool foreign_m_;
+  double* slab_ = nullptr;
+  std::vector<double> mirror_;  ///< host side of every readback
+};
+
+// ---------------------------------------------------------------------------
+// The engine
+// ---------------------------------------------------------------------------
+
+/// Algorithm 1 over any vector space, for several systems at once. Two step
+/// rules share the loop: lockstep (per-system pᵀq and wᵀy scalars) and
+/// block (one search panel, PᵀFP Gram coefficients; options.block).
+struct Engine {
+  DualOperator& f;
+  const Projector& projector;
+  precond::Preconditioner* m;  ///< null = no preconditioning
+  KrylovRecycler* recycler;    ///< null unless block recycling is on
+  const PcpgOptions& options;
+
+  /// ys[b] = (I − U(FU)ᵀ) P M⁻¹ ws[b] (line 12): one batched M⁻¹
+  /// application (width 1 skips the pack), the projector, and the
+  /// recycler's deflation (plain P when no recycled panel is attached).
+  template <class Space>
+  void precondition(Space& space, const CPtrs& ws, const Ptrs& ys,
+                    double* tin, double* tout) const {
+    const idx n = f.problem().num_lambdas;
+    const idx k = static_cast<idx>(ws.size());
+    if (k == 0) return;
+    if (m == nullptr) {
+      space.exec([ws, ys, n] {  // w is already projected
+        for (std::size_t b = 0; b < ws.size(); ++b)
+          std::copy_n(ws[b], n, ys[b]);
+      });
+    } else if (k == 1) {
+      space.apply_m(ws.front(), tin, 1);
+      space.project({tin}, ys);
+    } else {
+      space.exec(pack(ws, tin, n));
+      space.apply_m(tin, tout, k);
+      CPtrs cols;
+      for (idx b = 0; b < k; ++b) cols.push_back(tout + b * n);
+      space.project(cols, ys);
+    }
+    if (recycler != nullptr) space.project_out(*recycler, ys);
+  }
+
+  template <class Space>
+  std::vector<PcpgResult> solve(Space& space,
+                                const std::vector<double>* const* d,
+                                std::size_t nsys,
+                                bool throw_on_breakdown) const;
+};
+
+template <class Space>
+std::vector<PcpgResult> Engine::solve(Space& space,
+                                      const std::vector<double>* const* d,
+                                      std::size_t nsys,
+                                      bool throw_on_breakdown) const {
+  const idx n = f.problem().num_lambdas;
+  const std::size_t N = static_cast<std::size_t>(n);
+  for (std::size_t j = 0; j < nsys; ++j)
+    check(d[j]->size() == N, "Pcpg: rhs size mismatch");
+  std::vector<PcpgResult> results(nsys);
+  if (nsys == 0) return results;
+  const bool block = options.block.enabled;
+
+  /// Per-system state: host copies of λ and r (setup and finalization),
+  /// the live vectors in the space, and the lockstep scalar wᵀy.
+  struct System {
+    std::vector<double> lambda, r;
+    double* lam = nullptr;
+    double* res = nullptr;
+    double* w = nullptr;
+    double* y = nullptr;
+    double* p = nullptr;
+    double w0_norm = 0.0;
+    double wy = 0.0;
+    double rel = 1.0;
+    int iterations = 0;
+    int deflation_dim = 0;
+    bool active = true;
+  };
+  std::vector<System> sys(nsys);
+
+  // One allocation for the whole solve: 5 per-system vectors, the search
+  // panel P, Q = F·P, the preconditioner staging pair, and the Gram,
+  // coefficient and scalar blocks.
+  double* const mem = space.allocate(9 * nsys * N + 2 * nsys * nsys + nsys);
+  for (std::size_t j = 0; j < nsys; ++j) {
+    double* v = mem + 5 * j * N;
+    sys[j].lam = v;
+    sys[j].res = v + N;
+    sys[j].w = v + 2 * N;
+    sys[j].y = v + 3 * N;
+    sys[j].p = v + 4 * N;
+  }
+  double* const ppanel = mem + 5 * nsys * N;
+  double* const qpanel = ppanel + nsys * N;
+  double* const tin = qpanel + nsys * N;
+  double* const tout = tin + nsys * N;
+  double* const gram_block = tout + nsys * N;
+  double* const coeff_block = gram_block + nsys * nsys;
+  double* const scalars = coeff_block + nsys * nsys;
+  // Readback of `count` scalars, copied out because a finalization may read
+  // again before they are all consumed.
+  const auto fetch = [&](std::size_t count) {
+    const double* v = space.read(scalars, count);
+    return std::vector<double>(v, v + count);
+  };
+
+  // Pointers to one field of every system in `js`.
+  const auto cols = [&](const std::vector<std::size_t>& js,
+                        double* System::*field) {
+    Ptrs out;
+    for (std::size_t j : js) out.push_back(sys[j].*field);
+    return out;
+  };
+  const auto ccols = [&](const std::vector<std::size_t>& js,
+                         double* System::*field) {
+    CPtrs out;
+    for (std::size_t j : js) out.push_back(sys[j].*field);
+    return out;
+  };
+
+  // λ₀ and F λ₀ depend on the problem only — computed once, shared.
+  std::vector<double> lambda0(N), q0(N);
+  projector.initial_lambda(lambda0.data());
+  f.apply(lambda0.data(), q0.data());
+
+  const auto finalize = [&](std::size_t j, bool converged, bool read_back) {
+    System& s = sys[j];
+    if (read_back) {
+      std::copy_n(space.read(s.lam, N), N, s.lambda.data());
+      std::copy_n(space.read(s.res, N), N, s.r.data());
+    }
+    if (converged && recycler != nullptr && s.iterations > 0) {
+      // Harvest the converged step increment λ − λ₀ for the next step's
+      // deflation space; its operator product F(λ − λ₀) = (d − r) − Fλ₀
+      // falls out of the maintained residual — no extra apply. Recycling
+      // the increment (rather than the raw search directions) matters
+      // numerically: reconstructing it direction-by-direction from Uᵀr₀
+      // bottoms out at the cold solve's residual-orthogonality loss
+      // (~1e-5·‖r₀‖ here), while the increment is a single well-scaled
+      // column whose Galerkin coefficient is O(1).
+      std::vector<double> inc(N), finc(N);
+      const std::vector<double>& dj = *d[j];
+      for (idx i = 0; i < n; ++i) {
+        inc[i] = s.lambda[i] - lambda0[i];
+        finc[i] = dj[i] - s.r[i] - q0[i];
+      }
+      recycler->absorb(inc.data(), finc.data());
+    }
+    results[j].iterations = s.iterations;
+    results[j].rel_residual = s.rel;
+    results[j].converged = converged;
+    results[j].deflation_dim = s.deflation_dim;
+    results[j].alpha = projector.alpha(s.r.data());
+    results[j].lambda = std::move(s.lambda);
+    s.active = false;
+  };
+
+  // Setup (lines 1-5) on the host in both spaces: r₀, w₀ and its floor, the
+  // Galerkin warm start, and the first search direction through one
+  // *batched* host M⁻¹ application (whose SYMM path differs bitwise from
+  // per-system SYMV); then one upload of the live state.
+  std::vector<double> w0(nsys * N), y0(nsys * N);
+  std::vector<std::size_t> batch;
+  CPtrs ws;
+  Ptrs ys;
+  for (std::size_t j = 0; j < nsys; ++j) {
+    System& s = sys[j];
+    const std::vector<double>& dj = *d[j];
+    double* wj = w0.data() + j * N;
+    s.lambda = lambda0;
+    s.r.resize(N);
+    for (idx i = 0; i < n; ++i) s.r[i] = dj[i] - q0[i];
+    projector.apply(s.r.data(), wj);
+    // w₀ is measured before the deflation correction, so a warm start is
+    // judged against the same baseline a cold solve would be — that is
+    // what lets a recycled step finish in (near) zero iterations.
+    s.w0_norm = la::nrm2(n, wj);
+    if (s.w0_norm <= w0_floor(n, la::nrm2(n, dj.data()))) {
+      s.rel = 0.0;
+      finalize(j, /*converged=*/true, /*read_back=*/false);
+      continue;
+    }
+    if (recycler != nullptr && recycler->dim() > 0) {
+      s.deflation_dim = recycler->deflate_initial(s.lambda.data(),
+                                                  s.r.data());
+      projector.apply(s.r.data(), wj);
+    }
+    batch.push_back(j);
+    ws.push_back(wj);
+    ys.push_back(y0.data() + j * N);
+  }
+  {
+    HostSpace host(f, m, projector);
+    std::vector<double> host_tin(batch.size() * N), host_tout(batch.size() * N);
+    precondition(host, ws, ys, host_tin.data(), host_tout.data());
+  }
+  Ptrs dsts;
+  CPtrs srcs;
+  for (std::size_t b = 0; b < batch.size(); ++b) {
+    System& s = sys[batch[b]];
+    if (!block) s.wy = la::dot(n, ws[b], ys[b]);
+    dsts.insert(dsts.end(), {s.lam, s.res, s.w, s.y, s.p});
+    srcs.insert(srcs.end(), {s.lambda.data(), s.r.data(), ws[b], ys[b],
+                             ys[b]});  // p₀ = y₀
+  }
+  space.upload(dsts, srcs, n);
+
+  GramSolver gram;
+  for (;;) {
+    // Lines 6 and 15: convergence and the iteration cap, on one readback of
+    // every active system's ‖w‖.
+    batch.clear();
+    for (std::size_t j = 0; j < nsys; ++j)
+      if (sys[j].active) batch.push_back(j);
+    if (batch.empty()) break;
+    ws = ccols(batch, &System::w);
+    space.exec([ws, n, scalars] {
+      for (std::size_t b = 0; b < ws.size(); ++b)
+        scalars[b] = la::nrm2(n, ws[b]);
+    });
+    const std::vector<double> norms = fetch(batch.size());
+    std::size_t kept = 0;
+    for (std::size_t b = 0; b < ws.size(); ++b) {
+      const std::size_t j = batch[b];
+      System& s = sys[j];
+      s.rel = norms[b] / s.w0_norm;
+      if (s.rel <= options.rel_tolerance)
+        finalize(j, /*converged=*/true, /*read_back=*/true);
+      else if (s.iterations >= options.max_iterations)
+        finalize(j, /*converged=*/false, /*read_back=*/true);
+      else
+        batch[kept++] = j;
+    }
+    batch.resize(kept);
+    if (batch.empty()) break;
+
+    // Line 7 for all still-active systems at once: Q = F P through the
+    // batched apply. A width-1 panel (single-system solve, or the tail of a
+    // draining batch) aliases the system's own search direction instead of
+    // packing it; both step rules leave that direction intact while the
+    // panel is read.
+    const idx width = static_cast<idx>(batch.size());
+    const std::size_t W = batch.size();
+    const double* panel = sys[batch.front()].p;
+    if (width > 1) {
+      space.exec(pack(ccols(batch, &System::p), ppanel, n));
+      panel = ppanel;
+    }
+    space.apply_f(panel, qpanel, width);
+
+    if (!block) {
+      // Lockstep step (lines 8-10): δ = wᵀy / pᵀq per system, then
+      // λ += δ p and r −= δ q.
+      space.exec([panel, qpanel, W, N, n, scalars] {
+        for (std::size_t b = 0; b < W; ++b)
+          scalars[b] = la::dot(n, panel + b * N, qpanel + b * N);
+      });
+      const std::vector<double> pq = fetch(W);
+      std::vector<double> delta;
+      CPtrs pcols, qcols;
+      kept = 0;
+      for (std::size_t b = 0; b < W; ++b) {
+        const std::size_t j = batch[b];
+        System& s = sys[j];
+        if (pq[b] <= 0.0) {
+          // solve() keeps the historical contract (throw); in a batch, one
+          // ill-conditioned system must not discard the others' results.
+          // λ/r/w are untouched by the failed step, so the reported rel and
+          // alpha describe exactly that state, and the spent F apply counts.
+          check(!throw_on_breakdown,
+                "Pcpg: operator lost positive definiteness");
+          ++s.iterations;
+          finalize(j, /*converged=*/false, /*read_back=*/true);
+          continue;
+        }
+        delta.push_back(s.wy / pq[b]);
+        pcols.push_back(panel + b * N);
+        qcols.push_back(qpanel + b * N);
+        batch[kept++] = j;
+      }
+      batch.resize(kept);
+      if (batch.empty()) continue;
+      space.exec([delta, pcols, qcols, lams = cols(batch, &System::lam),
+                  rs = cols(batch, &System::res), n] {
+        for (std::size_t b = 0; b < delta.size(); ++b) {
+          la::axpy(n, delta[b], pcols[b], lams[b]);
+          la::axpy(n, -delta[b], qcols[b], rs[b]);
+        }
+      });
+    } else {
+      // Block step: the Gram system PᵀFP with rank-revealing pivoting — a
+      // nearly dependent column is deflated (zero coefficient) instead of
+      // breaking the solve.
+      space.exec([panel, qpanel, gram_block, width, n] {
+        la::DenseView g(gram_block, width, width, width, la::Layout::ColMajor);
+        la::gemm(1.0, panel_view(panel, n, width), la::Trans::Yes,
+                 panel_view(qpanel, n, width), la::Trans::No, 0.0, g);
+      });
+      gram.factor(space.read(gram_block, W * W), width,
+                  options.block.pivot_rel_tolerance);
+      if (gram.rank() == 0) {
+        // The whole panel lost positive definiteness — nothing can
+        // advance. Same consistent-final-state contract as the lockstep
+        // breakdown.
+        check(!throw_on_breakdown,
+              "Pcpg: operator lost positive definiteness");
+        for (std::size_t j : batch) {
+          ++sys[j].iterations;
+          finalize(j, /*converged=*/false, /*read_back=*/true);
+        }
+        continue;  // next top-of-loop sees no active systems and exits
+      }
+      // Per system α = Gram⁻¹ Pᵀw (pᵀr = pᵀw for projected panels), then
+      // λ += P α and r −= Q α: every system advances through the union of
+      // the block's search directions.
+      space.exec([panel, ws = ccols(batch, &System::w), coeff_block, width,
+                  W, n] {
+        for (std::size_t b = 0; b < W; ++b)
+          la::gemv(1.0, panel_view(panel, n, width), la::Trans::Yes, ws[b],
+                   0.0, coeff_block + b * W);
+      });
+      double* alpha = space.read(coeff_block, W * W);
+      for (std::size_t b = 0; b < W; ++b) gram.solve(alpha + b * W);
+      space.commit(coeff_block, W * W);
+      space.exec([panel, qpanel, coeff_block, lams = cols(batch, &System::lam),
+                  rs = cols(batch, &System::res), width, W, n] {
+        for (std::size_t b = 0; b < W; ++b) {
+          const double* c = coeff_block + b * W;
+          la::gemv(1.0, panel_view(panel, n, width), la::Trans::No, c, 1.0,
+                   lams[b]);
+          la::gemv(-1.0, panel_view(qpanel, n, width), la::Trans::No, c, 1.0,
+                   rs[b]);
+        }
+      });
+    }
+
+    // Line 11 for every system that stepped, then line 12 through one
+    // batched preconditioner application.
+    ys = cols(batch, &System::y);
+    space.project(ccols(batch, &System::res), cols(batch, &System::w));
+    precondition(space, ccols(batch, &System::w), ys, tin, tout);
+    for (std::size_t j : batch) ++sys[j].iterations;
+
+    if (!block) {
+      // Lines 13-14: β = wᵀy / (previous wᵀy), p = y + β p.
+      space.exec([ws = ccols(batch, &System::w), ys, n, scalars] {
+        for (std::size_t b = 0; b < ws.size(); ++b)
+          scalars[b] = la::dot(n, ws[b], ys[b]);
+      });
+      const std::vector<double> wy = fetch(batch.size());
+      std::vector<double> beta;
+      for (std::size_t b = 0; b < batch.size(); ++b) {
+        System& s = sys[batch[b]];
+        beta.push_back(wy[b] / s.wy);
+        s.wy = wy[b];
+      }
+      space.exec([ys, beta, ps = cols(batch, &System::p), n] {
+        for (std::size_t b = 0; b < ys.size(); ++b)
+          for (idx i = 0; i < n; ++i) ps[b][i] = ys[b][i] + beta[b] * ps[b][i];
+      });
+    } else {
+      // Next panel: Y conjugated against the current one via
+      // β = −Gram⁻¹ QᵀY. The new direction is formed in place on y and
+      // swapped in as p, so a width-1 panel aliasing p is never clobbered
+      // while it is read.
+      space.exec([qpanel, ys, coeff_block, width, W, n] {
+        for (std::size_t b = 0; b < W; ++b)
+          la::gemv(1.0, panel_view(qpanel, n, width), la::Trans::Yes, ys[b],
+                   0.0, coeff_block + b * W);
+      });
+      double* beta = space.read(coeff_block, W * W);
+      for (std::size_t b = 0; b < W; ++b) {
+        gram.solve(beta + b * W);
+        la::scal(width, -1.0, beta + b * W);
+      }
+      space.commit(coeff_block, W * W);
+      space.exec([panel, ys, coeff_block, width, W, n] {
+        for (std::size_t b = 0; b < W; ++b)
+          la::gemv(1.0, panel_view(panel, n, width), la::Trans::No,
+                   coeff_block + b * W, 1.0, ys[b]);
+      });
+      for (std::size_t j : batch) std::swap(sys[j].p, sys[j].y);
+    }
+  }
+  return results;
 }
+
+}  // namespace
 
 Pcpg::Pcpg(DualOperator& f, const Projector& projector, PcpgOptions options,
            precond::Preconditioner* m)
@@ -151,1086 +668,24 @@ bool Pcpg::device_eligible() {
 
 std::vector<PcpgResult> Pcpg::run(const std::vector<double>* const* d,
                                   std::size_t nsys, bool throw_on_breakdown) {
+  const Engine engine{
+      f_, projector_, m_,
+      options_.block.enabled && options_.block.recycle ? recycler_ : nullptr,
+      options_};
   if (device_eligible()) {
     try {
-      return options_.block.enabled
-                 ? solve_block_impl_device(d, nsys, throw_on_breakdown)
-                 : solve_impl_device(d, nsys, throw_on_breakdown);
+      DeviceSpace space(f_, m_, projector_);
+      return engine.solve(space, d, nsys, throw_on_breakdown);
     } catch (const std::bad_alloc&) {
-      // Device memory exhausted. Auto degrades to the host-staged engines
-      // (a re-run from scratch is safe: the device engine only mutates
-      // device state plus the recycler, and a duplicate absorb of the same
+      // Device memory exhausted. Auto re-runs the same loop on the host (a
+      // re-run from scratch is safe: the device run only mutates device
+      // state plus the recycler, and a duplicate absorb of the same
       // increment is dropped by its F-orthogonalization floor).
       if (options_.device_state == PcpgOptions::DeviceState::On) throw;
     }
   }
-  return options_.block.enabled
-             ? solve_block_impl(d, nsys, throw_on_breakdown)
-             : solve_impl(d, nsys, throw_on_breakdown);
-}
-
-std::vector<PcpgResult> Pcpg::solve_impl(const std::vector<double>* const* d,
-                                         std::size_t nsys,
-                                         bool throw_on_breakdown) {
-  const idx n = f_.problem().num_lambdas;
-  for (std::size_t j = 0; j < nsys; ++j)
-    check(d[j]->size() == static_cast<std::size_t>(n),
-          "Pcpg: rhs size mismatch");
-  std::vector<PcpgResult> results(nsys);
-  if (nsys == 0) return results;
-
-  /// Per-system CG state (lines 1-5 of Algorithm 1 use per-system vectors;
-  /// only the operator and preconditioner applications are shared).
-  struct System {
-    std::vector<double> lambda, r, w, y, p, q;
-    double w0_norm = 0.0;
-    double wy = 0.0;
-    double rel = 1.0;
-    int iterations = 0;
-    bool active = true;
-  };
-  std::vector<System> sys(nsys);
-  std::vector<double> t(static_cast<std::size_t>(n));
-  std::vector<double> tin, tout;  ///< preconditioner batch blocks
-
-  // λ₀ and F λ₀ depend on the problem only — computed once, shared.
-  std::vector<double> lambda0(static_cast<std::size_t>(n));
-  projector_.initial_lambda(lambda0.data());
-  std::vector<double> q0(static_cast<std::size_t>(n));
-  f_.apply(lambda0.data(), q0.data());
-
-  const auto finalize = [&](std::size_t j, bool converged) {
-    System& s = sys[j];
-    results[j].iterations = s.iterations;
-    results[j].rel_residual = s.rel;
-    results[j].converged = converged;
-    results[j].alpha = projector_.alpha(s.r.data());
-    results[j].lambda = std::move(s.lambda);
-    s.active = false;
-  };
-
-  // Line 12 (y = P M⁻¹ w) for a set of systems at once: a single batched
-  // M⁻¹ application (the size-1 tail skips the pack/unpack copies). The
-  // unpreconditioned path stays the plain y = w of projected CG.
-  const auto precondition = [&](const std::vector<std::size_t>& js) {
-    if (js.empty()) return;
-    if (m_ == nullptr) {
-      for (std::size_t j : js) sys[j].y = sys[j].w;
-      return;
-    }
-    if (js.size() == 1) {
-      System& s = sys[js.front()];
-      m_->apply(s.w.data(), t.data());
-      projector_.apply(t.data(), s.y.data());
-      return;
-    }
-    tin.resize(static_cast<std::size_t>(n) * js.size());
-    tout.resize(tin.size());
-    for (std::size_t b = 0; b < js.size(); ++b)
-      std::copy_n(sys[js[b]].w.data(), n,
-                  tin.data() + b * static_cast<std::size_t>(n));
-    m_->apply(tin.data(), tout.data(), static_cast<idx>(js.size()));
-    for (std::size_t b = 0; b < js.size(); ++b)
-      projector_.apply(tout.data() + b * static_cast<std::size_t>(n),
-                       sys[js[b]].y.data());
-  };
-
-  std::vector<std::size_t> pending;
-  for (std::size_t j = 0; j < nsys; ++j) {
-    System& s = sys[j];
-    s.lambda = lambda0;
-    s.r.resize(static_cast<std::size_t>(n));
-    const std::vector<double>& dj = *d[j];
-    for (idx i = 0; i < n; ++i) s.r[i] = dj[i] - q0[i];
-    s.w.resize(static_cast<std::size_t>(n));
-    s.y.resize(static_cast<std::size_t>(n));
-    s.q.resize(static_cast<std::size_t>(n));
-    projector_.apply(s.r.data(), s.w.data());
-    s.w0_norm = la::nrm2(n, s.w.data());
-    if (s.w0_norm <= w0_floor(n, la::nrm2(n, dj.data()))) {
-      s.rel = 0.0;
-      finalize(j, /*converged=*/true);
-      continue;
-    }
-    pending.push_back(j);
-  }
-  precondition(pending);
-  for (std::size_t j : pending) {
-    System& s = sys[j];
-    s.p = s.y;
-    s.wy = la::dot(n, s.w.data(), s.y.data());
-  }
-
-  std::vector<double> xblock, yblock;
-  std::vector<std::size_t> batch;
-  for (;;) {
-    batch.clear();
-    for (std::size_t j = 0; j < nsys; ++j) {
-      System& s = sys[j];
-      if (!s.active) continue;
-      s.rel = la::nrm2(n, s.w.data()) / s.w0_norm;
-      if (s.rel <= options_.rel_tolerance) {
-        finalize(j, /*converged=*/true);
-      } else if (s.iterations >= options_.max_iterations) {
-        finalize(j, /*converged=*/false);
-      } else {
-        batch.push_back(j);
-      }
-    }
-    if (batch.empty()) break;
-
-    // Line 7 for all still-active systems at once: Q(:,b) = F P(:,b).
-    if (batch.size() == 1) {
-      // Single-system fast path (also the tail of a draining batch): apply
-      // straight into the system's own buffers, no pack/unpack copies.
-      System& s = sys[batch.front()];
-      f_.apply(s.p.data(), s.q.data());
-    } else {
-      const idx nrhs = static_cast<idx>(batch.size());
-      xblock.resize(static_cast<std::size_t>(n) * batch.size());
-      yblock.resize(xblock.size());
-      for (std::size_t b = 0; b < batch.size(); ++b)
-        std::copy_n(sys[batch[b]].p.data(), n,
-                    xblock.data() + b * static_cast<std::size_t>(n));
-      f_.apply(xblock.data(), yblock.data(), nrhs);
-      for (std::size_t b = 0; b < batch.size(); ++b)
-        std::copy_n(yblock.data() + b * static_cast<std::size_t>(n), n,
-                    sys[batch[b]].q.data());
-    }
-
-    // Per-system scalar updates up to the residual projection (lines
-    // 8-11)...
-    pending.clear();
-    for (std::size_t j : batch) {
-      System& s = sys[j];
-      const double pq = la::dot(n, s.p.data(), s.q.data());
-      if (pq <= 0.0) {
-        // solve() keeps the historical contract (throw); in a batch, one
-        // ill-conditioned system must not discard the others' results. The
-        // reported state must be consistent: λ/r/w are untouched by the
-        // failed step, so rel is recomputed for exactly that state (and
-        // alpha in finalize() derives from the same r), and the F apply
-        // this iteration spent is counted even though it was discarded.
-        check(!throw_on_breakdown,
-              "Pcpg: operator lost positive definiteness");
-        ++s.iterations;
-        s.rel = la::nrm2(n, s.w.data()) / s.w0_norm;
-        finalize(j, /*converged=*/false);
-        continue;
-      }
-      const double delta = s.wy / pq;                       // line 8
-      la::axpy(n, delta, s.p.data(), s.lambda.data());      // line 9
-      la::axpy(n, -delta, s.q.data(), s.r.data());          // line 10
-      projector_.apply(s.r.data(), s.w.data());             // line 11
-      pending.push_back(j);
-    }
-    // ... one batched preconditioner application for the survivors (line
-    // 12) ...
-    precondition(pending);
-    // ... and the per-system search-direction recurrence (lines 13-14).
-    for (std::size_t j : pending) {
-      System& s = sys[j];
-      const double wy_next = la::dot(n, s.w.data(), s.y.data());
-      const double beta = wy_next / s.wy;                   // line 13
-      s.wy = wy_next;
-      for (idx i = 0; i < n; ++i)
-        s.p[i] = s.y[i] + beta * s.p[i];                    // line 14
-      ++s.iterations;
-    }
-  }
-  return results;
-}
-
-std::vector<PcpgResult> Pcpg::solve_block_impl(
-    const std::vector<double>* const* d, std::size_t nsys,
-    bool throw_on_breakdown) {
-  const idx n = f_.problem().num_lambdas;
-  for (std::size_t j = 0; j < nsys; ++j)
-    check(d[j]->size() == static_cast<std::size_t>(n),
-          "Pcpg: rhs size mismatch");
-  std::vector<PcpgResult> results(nsys);
-  if (nsys == 0) return results;
-
-  KrylovRecycler* recycler = options_.block.recycle ? recycler_ : nullptr;
-
-  /// Per-system state. Unlike the lockstep path there are no per-system
-  /// step scalars: the search panel is shared, and each system's step and
-  /// conjugation coefficients come from the panel's Gram system.
-  struct System {
-    std::vector<double> lambda, r, w, y, p;
-    double w0_norm = 0.0;
-    double rel = 1.0;
-    int iterations = 0;
-    int deflation_dim = 0;
-    bool active = true;
-  };
-  std::vector<System> sys(nsys);
-  std::vector<double> t(static_cast<std::size_t>(n));
-  std::vector<double> tin, tout;  ///< preconditioner batch blocks
-
-  // λ₀ and F λ₀ depend on the problem only — computed once, shared.
-  std::vector<double> lambda0(static_cast<std::size_t>(n));
-  projector_.initial_lambda(lambda0.data());
-  std::vector<double> q0(static_cast<std::size_t>(n));
-  f_.apply(lambda0.data(), q0.data());
-
-  const auto finalize = [&](std::size_t j, bool converged) {
-    System& s = sys[j];
-    if (converged && recycler != nullptr && s.iterations > 0) {
-      // Harvest the converged step increment λ − λ₀ for the next step's
-      // deflation space; its operator product F(λ − λ₀) = (d − r) − Fλ₀
-      // falls out of the maintained residual — no extra apply. Recycling
-      // the increment (rather than the raw search directions) matters
-      // numerically: reconstructing it direction-by-direction from Uᵀr₀
-      // bottoms out at the cold solve's residual-orthogonality loss
-      // (~1e-5·‖r₀‖ here), while the increment is a single well-scaled
-      // column whose Galerkin coefficient is O(1).
-      std::vector<double> inc(static_cast<std::size_t>(n));
-      std::vector<double> finc(static_cast<std::size_t>(n));
-      const std::vector<double>& dj = *d[j];
-      for (idx i = 0; i < n; ++i) {
-        inc[i] = s.lambda[i] - lambda0[i];
-        finc[i] = dj[i] - s.r[i] - q0[i];
-      }
-      recycler->absorb(inc.data(), finc.data());
-    }
-    results[j].iterations = s.iterations;
-    results[j].rel_residual = s.rel;
-    results[j].converged = converged;
-    results[j].deflation_dim = s.deflation_dim;
-    results[j].alpha = projector_.alpha(s.r.data());
-    results[j].lambda = std::move(s.lambda);
-    s.active = false;
-  };
-
-  // y = (I − U(FU)ᵀ) P M⁻¹ w for a set of systems at once: one batched
-  // M⁻¹ application like the lockstep path, with the deflation-augmented
-  // projector keeping every new direction F-orthogonal to the recycled
-  // space (plain P when no recycled panel is attached).
-  const auto precondition = [&](const std::vector<std::size_t>& js) {
-    if (js.empty()) return;
-    const bool deflate = recycler != nullptr && recycler->dim() > 0;
-    if (m_ == nullptr) {
-      for (std::size_t j : js) {
-        sys[j].y = sys[j].w;  // w is already projected
-        if (deflate) recycler->project_out(sys[j].y.data(), 1);
-      }
-      return;
-    }
-    const auto project_y = [&](const double* src, double* dst) {
-      if (deflate)
-        projector_.apply_deflated(src, dst, *recycler);
-      else
-        projector_.apply(src, dst);
-    };
-    if (js.size() == 1) {
-      System& s = sys[js.front()];
-      m_->apply(s.w.data(), t.data());
-      project_y(t.data(), s.y.data());
-      return;
-    }
-    tin.resize(static_cast<std::size_t>(n) * js.size());
-    tout.resize(tin.size());
-    for (std::size_t b = 0; b < js.size(); ++b)
-      std::copy_n(sys[js[b]].w.data(), n,
-                  tin.data() + b * static_cast<std::size_t>(n));
-    m_->apply(tin.data(), tout.data(), static_cast<idx>(js.size()));
-    for (std::size_t b = 0; b < js.size(); ++b)
-      project_y(tout.data() + b * static_cast<std::size_t>(n),
-                sys[js[b]].y.data());
-  };
-
-  std::vector<std::size_t> pending;
-  for (std::size_t j = 0; j < nsys; ++j) {
-    System& s = sys[j];
-    s.lambda = lambda0;
-    s.r.resize(static_cast<std::size_t>(n));
-    const std::vector<double>& dj = *d[j];
-    for (idx i = 0; i < n; ++i) s.r[i] = dj[i] - q0[i];
-    s.w.resize(static_cast<std::size_t>(n));
-    s.y.resize(static_cast<std::size_t>(n));
-    projector_.apply(s.r.data(), s.w.data());
-    // w₀ is measured before the deflation correction, so a warm start is
-    // judged against the same baseline a cold solve would be — that is
-    // what lets a recycled step finish in (near) zero iterations.
-    s.w0_norm = la::nrm2(n, s.w.data());
-    if (s.w0_norm <= w0_floor(n, la::nrm2(n, dj.data()))) {
-      s.rel = 0.0;
-      finalize(j, /*converged=*/true);
-      continue;
-    }
-    if (recycler != nullptr && recycler->dim() > 0) {
-      s.deflation_dim = recycler->deflate_initial(s.lambda.data(),
-                                                  s.r.data());
-      projector_.apply(s.r.data(), s.w.data());
-    }
-    pending.push_back(j);
-  }
-  precondition(pending);
-  for (std::size_t j : pending) sys[j].p = sys[j].y;
-
-  std::vector<double> xblock, yblock;  ///< P and Q = F·P panels, packed
-  std::vector<double> coeff;           ///< Gram-system right-hand side
-  std::vector<std::size_t> batch;
-  GramSolver gram;
-  for (;;) {
-    batch.clear();
-    for (std::size_t j = 0; j < nsys; ++j) {
-      System& s = sys[j];
-      if (!s.active) continue;
-      s.rel = la::nrm2(n, s.w.data()) / s.w0_norm;
-      if (s.rel <= options_.rel_tolerance) {
-        finalize(j, /*converged=*/true);
-      } else if (s.iterations >= options_.max_iterations) {
-        finalize(j, /*converged=*/false);
-      } else {
-        batch.push_back(j);
-      }
-    }
-    if (batch.empty()) break;
-
-    // The still-active systems share one search panel: Q = F P through the
-    // same batched apply the lockstep path uses (line 7 for the block). A
-    // width-1 panel (single-system solve, or the tail of a draining batch)
-    // aliases the system's own search direction instead of packing it into
-    // xblock — the panel-update recurrence below compensates (it conjugates
-    // in place on y and swaps, so the aliased direction is never clobbered
-    // while the panel view still reads it).
-    const idx width = static_cast<idx>(batch.size());
-    yblock.resize(static_cast<std::size_t>(n) * batch.size());
-    const double* panel = nullptr;
-    if (width == 1) {
-      System& s = sys[batch.front()];
-      f_.apply(s.p.data(), yblock.data());
-      panel = s.p.data();
-    } else {
-      xblock.resize(static_cast<std::size_t>(n) * batch.size());
-      for (std::size_t b = 0; b < batch.size(); ++b)
-        std::copy_n(sys[batch[b]].p.data(), n,
-                    xblock.data() + b * static_cast<std::size_t>(n));
-      f_.apply(xblock.data(), yblock.data(), width);
-      panel = xblock.data();
-    }
-    const la::ConstDenseView pview(panel, n, width, n, la::Layout::ColMajor);
-    const la::ConstDenseView qview(yblock.data(), n, width, n,
-                                   la::Layout::ColMajor);
-
-    // Gram system PᵀFP with rank-revealing pivoting: a nearly dependent
-    // column is deflated (zero coefficient) instead of breaking the solve.
-    la::DenseMatrix gram_mat(width, width, la::Layout::ColMajor);
-    la::gemm(1.0, pview, la::Trans::Yes, qview, la::Trans::No, 0.0,
-             gram_mat.view());
-    gram.factor(gram_mat, options_.block.pivot_rel_tolerance);
-    if (gram.rank() == 0) {
-      // The whole panel lost positive definiteness — nothing can advance.
-      // Same consistent-final-state contract as the lockstep breakdown:
-      // count the spent panel apply, report rel for the untouched state.
-      check(!throw_on_breakdown,
-            "Pcpg: operator lost positive definiteness");
-      for (std::size_t j : batch) {
-        System& s = sys[j];
-        ++s.iterations;
-        s.rel = la::nrm2(n, s.w.data()) / s.w0_norm;
-        finalize(j, /*converged=*/false);
-      }
-      continue;  // next top-of-loop sees no active systems and exits
-    }
-
-    // Per-system block step: α = Gram⁻¹ Pᵀw (pᵀr = pᵀw for projected
-    // panels), λ += P α, r −= Q α — every system advances through the
-    // union of the block's search directions.
-    coeff.resize(batch.size());
-    for (std::size_t j : batch) {
-      System& s = sys[j];
-      la::gemv(1.0, pview, la::Trans::Yes, s.w.data(), 0.0, coeff.data());
-      gram.solve(coeff.data());
-      la::gemv(1.0, pview, la::Trans::No, coeff.data(), 1.0,
-               s.lambda.data());
-      la::gemv(-1.0, qview, la::Trans::No, coeff.data(), 1.0, s.r.data());
-      projector_.apply(s.r.data(), s.w.data());
-      ++s.iterations;
-    }
-
-
-    // Next panel: Y = deflated-preconditioned residuals, conjugated
-    // against the current panel via β = −Gram⁻¹ QᵀY.
-    precondition(batch);
-    for (std::size_t j : batch) {
-      System& s = sys[j];
-      la::gemv(1.0, qview, la::Trans::Yes, s.y.data(), 0.0, coeff.data());
-      gram.solve(coeff.data());
-      la::scal(width, -1.0, coeff.data());
-      if (width == 1) {
-        // pview aliases s.p here: conjugate in place on y (bitwise the
-        // same accumulation), then swap the buffers so p becomes the new
-        // direction without ever overwriting the aliased panel.
-        la::gemv(1.0, pview, la::Trans::No, coeff.data(), 1.0, s.y.data());
-        std::swap(s.p, s.y);
-      } else {
-        s.p = s.y;
-        la::gemv(1.0, pview, la::Trans::No, coeff.data(), 1.0, s.p.data());
-      }
-    }
-  }
-  return results;
-}
-
-// ---------------------------------------------------------------------------
-// Device-resident engines
-// ---------------------------------------------------------------------------
-//
-// Twins of solve_impl / solve_block_impl that keep every per-system vector
-// (λ, r, w, y, p, q and the search panels) on the dual operator's device
-// for the whole solve. The setup and finalization run host-side exactly
-// like the host engines (λ₀, F λ₀, the w₀ floor, the Galerkin warm start,
-// α and the recycler harvest all see the same host values); the state is
-// uploaded once, iterated on with device kernels, and downloaded per
-// system on finalization. Per iteration only convergence scalars, Gram
-// blocks, and coarse right-hand sides cross PCIe — never an O(n) vector.
-//
-// Bit-identity with the host engines (and therefore identical iteration
-// counts) holds because every device kernel runs the same la:: calls on
-// the same values in the same per-system order; the only reordering is
-// across independent systems, which cannot change any value.
-
-std::vector<PcpgResult> Pcpg::solve_impl_device(
-    const std::vector<double>* const* d, std::size_t nsys,
-    bool throw_on_breakdown) {
-  const idx n = f_.problem().num_lambdas;
-  for (std::size_t j = 0; j < nsys; ++j)
-    check(d[j]->size() == static_cast<std::size_t>(n),
-          "Pcpg: rhs size mismatch");
-  std::vector<PcpgResult> results(nsys);
-  if (nsys == 0) return results;
-
-  gpu::ExecutionContext* ctx = f_.device_context();
-  gpu::Device& dev = ctx->device();
-  gpu::Stream main = ctx->main_stream();
-  const std::size_t N = static_cast<std::size_t>(n);
-  const std::size_t vec_bytes = N * sizeof(double);
-
-  struct System {
-    std::vector<double> lambda, r;  ///< host copies: setup + finalization
-    double* d_lambda = nullptr;
-    double* d_r = nullptr;
-    double* d_w = nullptr;
-    double* d_y = nullptr;
-    double* d_p = nullptr;
-    double* d_q = nullptr;
-    double w0_norm = 0.0;
-    double wy = 0.0;
-    double rel = 1.0;
-    int iterations = 0;
-    bool active = true;
-  };
-  std::vector<System> sys(nsys);
-
-  // 6 per-system vectors + 2 shared panels + the scalar return block.
-  DeviceSlab slab(dev, N * (6 * nsys + 2 * nsys) + nsys);
-  for (std::size_t j = 0; j < nsys; ++j) {
-    sys[j].d_lambda = slab.data + (6 * j + 0) * N;
-    sys[j].d_r = slab.data + (6 * j + 1) * N;
-    sys[j].d_w = slab.data + (6 * j + 2) * N;
-    sys[j].d_y = slab.data + (6 * j + 3) * N;
-    sys[j].d_p = slab.data + (6 * j + 4) * N;
-    sys[j].d_q = slab.data + (6 * j + 5) * N;
-  }
-  double* xpanel = slab.data + 6 * nsys * N;
-  double* ypanel = xpanel + nsys * N;
-  double* out_dev = ypanel + nsys * N;
-  std::vector<double> out_host(nsys);
-
-  // λ₀ and F λ₀ depend on the problem only — computed once, shared, on the
-  // host (identical to the host engine; these are setup, not loop, costs).
-  std::vector<double> lambda0(N);
-  projector_.initial_lambda(lambda0.data());
-  std::vector<double> q0(N);
-  f_.apply(lambda0.data(), q0.data());
-
-  const auto finalize = [&](std::size_t j, bool converged, bool download) {
-    System& s = sys[j];
-    if (download) {
-      main.memcpy_d2h(s.lambda.data(), s.d_lambda, vec_bytes);
-      main.memcpy_d2h(s.r.data(), s.d_r, vec_bytes);
-      main.synchronize();
-    }
-    results[j].iterations = s.iterations;
-    results[j].rel_residual = s.rel;
-    results[j].converged = converged;
-    results[j].alpha = projector_.alpha(s.r.data());
-    results[j].lambda = std::move(s.lambda);
-    s.active = false;
-  };
-
-  // Device twin of the lockstep preconditioner step (line 12): one batched
-  // M⁻¹ application on device views, then the device projector.
-  //
-  // A preconditioner pooled on a different execution context (the sharded
-  // operator anchors on its internal shard-0 context) submits on streams
-  // with no ordering against `main` — drain `main` first so it reads
-  // complete inputs. Same-context preconditioners share the in-order main
-  // queue and need no fence.
-  const bool foreign_m =
-      m_ != nullptr && m_->device_context() != ctx;
-  std::vector<const double*> cptrs;
-  std::vector<double*> ptrs;
-  const auto precondition = [&](const std::vector<std::size_t>& js) {
-    if (js.empty()) return;
-    if (m_ == nullptr) {
-      for (std::size_t j : js)
-        gpu::kernels::copy(main, sys[j].d_w, sys[j].d_y, n);
-      return;
-    }
-    if (js.size() == 1) {
-      System& s = sys[js.front()];
-      if (foreign_m) main.synchronize();
-      m_->apply_device(s.d_w, xpanel, 1);
-      projector_.apply_device(dev, main, {xpanel}, {s.d_y});
-      return;
-    }
-    cptrs.clear();
-    for (std::size_t j : js) cptrs.push_back(sys[j].d_w);
-    gpu::kernels::pack_columns(main, cptrs, xpanel, n);
-    if (foreign_m) main.synchronize();
-    m_->apply_device(xpanel, ypanel, static_cast<idx>(js.size()));
-    cptrs.clear();
-    ptrs.clear();
-    for (std::size_t b = 0; b < js.size(); ++b) {
-      cptrs.push_back(ypanel + b * N);
-      ptrs.push_back(sys[js[b]].d_y);
-    }
-    projector_.apply_device(dev, main, cptrs, ptrs);
-  };
-
-  // Host-side setup, identical to the host engine up to the first search
-  // direction (including the *batched* host preconditioner application,
-  // whose SYMM path differs bitwise from per-system SYMV); then one upload
-  // of the live per-system state.
-  std::vector<std::vector<double>> w0v(nsys), y0(nsys);
-  std::vector<double> t_host(N), tin, tout;
-  std::vector<std::size_t> pending;
-  for (std::size_t j = 0; j < nsys; ++j) {
-    System& s = sys[j];
-    s.lambda = lambda0;
-    s.r.resize(N);
-    const std::vector<double>& dj = *d[j];
-    for (idx i = 0; i < n; ++i) s.r[i] = dj[i] - q0[i];
-    w0v[j].resize(N);
-    projector_.apply(s.r.data(), w0v[j].data());
-    s.w0_norm = la::nrm2(n, w0v[j].data());
-    if (s.w0_norm <= w0_floor(n, la::nrm2(n, dj.data()))) {
-      s.rel = 0.0;
-      finalize(j, /*converged=*/true, /*download=*/false);
-      continue;
-    }
-    pending.push_back(j);
-  }
-  if (!pending.empty()) {
-    for (std::size_t j : pending) y0[j].resize(N);
-    if (m_ == nullptr) {
-      for (std::size_t j : pending) y0[j] = w0v[j];
-    } else if (pending.size() == 1) {
-      const std::size_t j = pending.front();
-      m_->apply(w0v[j].data(), t_host.data());
-      projector_.apply(t_host.data(), y0[j].data());
-    } else {
-      tin.resize(N * pending.size());
-      tout.resize(tin.size());
-      for (std::size_t b = 0; b < pending.size(); ++b)
-        std::copy_n(w0v[pending[b]].data(), n, tin.data() + b * N);
-      m_->apply(tin.data(), tout.data(), static_cast<idx>(pending.size()));
-      for (std::size_t b = 0; b < pending.size(); ++b)
-        projector_.apply(tout.data() + b * N, y0[pending[b]].data());
-    }
-  }
-  for (std::size_t j : pending) {
-    System& s = sys[j];
-    s.wy = la::dot(n, w0v[j].data(), y0[j].data());
-    main.memcpy_h2d(s.d_lambda, s.lambda.data(), vec_bytes);
-    main.memcpy_h2d(s.d_r, s.r.data(), vec_bytes);
-    main.memcpy_h2d(s.d_w, w0v[j].data(), vec_bytes);
-    main.memcpy_h2d(s.d_y, y0[j].data(), vec_bytes);
-    main.memcpy_h2d(s.d_p, y0[j].data(), vec_bytes);  // p = y
-  }
-  main.synchronize();
-
-  std::vector<double> alphas, betas;
-  std::vector<std::size_t> batch;
-  for (;;) {
-    batch.clear();
-    std::vector<std::size_t> active;
-    cptrs.clear();
-    for (std::size_t j = 0; j < nsys; ++j) {
-      if (!sys[j].active) continue;
-      active.push_back(j);
-      cptrs.push_back(sys[j].d_w);
-    }
-    if (active.empty()) break;
-    gpu::kernels::nrm2_many(main, cptrs, n, out_dev);
-    main.memcpy_d2h(out_host.data(), out_dev,
-                    active.size() * sizeof(double));
-    main.synchronize();
-    for (std::size_t b = 0; b < active.size(); ++b) {
-      const std::size_t j = active[b];
-      System& s = sys[j];
-      s.rel = out_host[b] / s.w0_norm;
-      if (s.rel <= options_.rel_tolerance) {
-        finalize(j, /*converged=*/true, /*download=*/true);
-      } else if (s.iterations >= options_.max_iterations) {
-        finalize(j, /*converged=*/false, /*download=*/true);
-      } else {
-        batch.push_back(j);
-      }
-    }
-    if (batch.empty()) break;
-
-    // Q(:,b) = F P(:,b) on device views — the staging copies of the host
-    // engine become device-side packs (width 1 needs none at all).
-    if (batch.size() == 1) {
-      System& s = sys[batch.front()];
-      f_.apply_device(s.d_p, s.d_q, 1);
-    } else {
-      cptrs.clear();
-      ptrs.clear();
-      for (std::size_t j : batch) {
-        cptrs.push_back(sys[j].d_p);
-        ptrs.push_back(sys[j].d_q);
-      }
-      gpu::kernels::pack_columns(main, cptrs, xpanel, n);
-      f_.apply_device(xpanel, ypanel, static_cast<idx>(batch.size()));
-      gpu::kernels::unpack_columns(main, ypanel, ptrs, n);
-    }
-
-    // pq = pᵀq per system, one fused dot kernel + one scalar block D2H.
-    cptrs.clear();
-    std::vector<const double*> qptrs;
-    for (std::size_t j : batch) {
-      cptrs.push_back(sys[j].d_p);
-      qptrs.push_back(sys[j].d_q);
-    }
-    gpu::kernels::dot_many(main, cptrs, qptrs, n, out_dev);
-    main.memcpy_d2h(out_host.data(), out_dev, batch.size() * sizeof(double));
-    main.synchronize();
-
-    pending.clear();
-    alphas.clear();
-    std::vector<double*> lam_ptrs, r_ptrs;
-    std::vector<const double*> p_ptrs, q_ptrs;
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      const std::size_t j = batch[b];
-      System& s = sys[j];
-      const double pq = out_host[b];
-      if (pq <= 0.0) {
-        // Same breakdown contract as the host engine; s.rel already holds
-        // the value the host recomputes (w is untouched this iteration).
-        check(!throw_on_breakdown,
-              "Pcpg: operator lost positive definiteness");
-        ++s.iterations;
-        finalize(j, /*converged=*/false, /*download=*/true);
-        continue;
-      }
-      const double delta = s.wy / pq;                       // line 8
-      alphas.push_back(delta);
-      p_ptrs.push_back(s.d_p);
-      q_ptrs.push_back(s.d_q);
-      lam_ptrs.push_back(s.d_lambda);
-      r_ptrs.push_back(s.d_r);
-      pending.push_back(j);
-    }
-    if (pending.empty()) continue;
-    // Lines 9-11 for all survivors: two fused axpy sweeps + the batched
-    // device projector.
-    gpu::kernels::axpy_many(main, alphas, p_ptrs, lam_ptrs, n);
-    for (double& a : alphas) a = -a;
-    gpu::kernels::axpy_many(main, alphas, q_ptrs, r_ptrs, n);
-    cptrs.clear();
-    ptrs.clear();
-    for (std::size_t j : pending) {
-      cptrs.push_back(sys[j].d_r);
-      ptrs.push_back(sys[j].d_w);
-    }
-    projector_.apply_device(dev, main, cptrs, ptrs);
-    precondition(pending);
-    // Lines 13-14: one fused dot for wy', one fused p-recurrence sweep.
-    cptrs.clear();
-    std::vector<const double*> yptrs;
-    for (std::size_t j : pending) {
-      cptrs.push_back(sys[j].d_w);
-      yptrs.push_back(sys[j].d_y);
-    }
-    gpu::kernels::dot_many(main, cptrs, yptrs, n, out_dev);
-    main.memcpy_d2h(out_host.data(), out_dev,
-                    pending.size() * sizeof(double));
-    main.synchronize();
-    betas.clear();
-    ptrs.clear();
-    for (std::size_t b = 0; b < pending.size(); ++b) {
-      System& s = sys[pending[b]];
-      const double wy_next = out_host[b];
-      betas.push_back(wy_next / s.wy);                      // line 13
-      s.wy = wy_next;
-      ptrs.push_back(s.d_p);
-      ++s.iterations;
-    }
-    gpu::kernels::xpby_many(main, yptrs, betas, ptrs, n);   // line 14
-  }
-  return results;
-}
-
-std::vector<PcpgResult> Pcpg::solve_block_impl_device(
-    const std::vector<double>* const* d, std::size_t nsys,
-    bool throw_on_breakdown) {
-  const idx n = f_.problem().num_lambdas;
-  for (std::size_t j = 0; j < nsys; ++j)
-    check(d[j]->size() == static_cast<std::size_t>(n),
-          "Pcpg: rhs size mismatch");
-  std::vector<PcpgResult> results(nsys);
-  if (nsys == 0) return results;
-
-  KrylovRecycler* recycler = options_.block.recycle ? recycler_ : nullptr;
-
-  gpu::ExecutionContext* ctx = f_.device_context();
-  gpu::Device& dev = ctx->device();
-  gpu::Stream main = ctx->main_stream();
-  const std::size_t N = static_cast<std::size_t>(n);
-  const std::size_t vec_bytes = N * sizeof(double);
-
-  struct System {
-    std::vector<double> lambda, r;  ///< host copies: setup + finalization
-    double* d_lambda = nullptr;
-    double* d_r = nullptr;
-    double* d_w = nullptr;
-    double* d_y = nullptr;
-    double* d_p = nullptr;
-    double w0_norm = 0.0;
-    double rel = 1.0;
-    int iterations = 0;
-    int deflation_dim = 0;
-    bool active = true;
-  };
-  std::vector<System> sys(nsys);
-
-  // 5 per-system vectors + P/Q panels + preconditioner staging panels +
-  // the Gram block, the coefficient block, and the scalar return block.
-  DeviceSlab slab(dev, N * (5 * nsys + 4 * nsys) + 2 * nsys * nsys + nsys);
-  for (std::size_t j = 0; j < nsys; ++j) {
-    sys[j].d_lambda = slab.data + (5 * j + 0) * N;
-    sys[j].d_r = slab.data + (5 * j + 1) * N;
-    sys[j].d_w = slab.data + (5 * j + 2) * N;
-    sys[j].d_y = slab.data + (5 * j + 3) * N;
-    sys[j].d_p = slab.data + (5 * j + 4) * N;
-  }
-  double* xpanel = slab.data + 5 * nsys * N;   ///< search panel P
-  double* ypanel = xpanel + nsys * N;          ///< Q = F P
-  double* tin = ypanel + nsys * N;             ///< precond staging in
-  double* tout = tin + nsys * N;               ///< precond staging out
-  double* gram_dev = tout + nsys * N;
-  double* coeff_dev = gram_dev + nsys * nsys;
-  double* out_dev = coeff_dev + nsys * nsys;
-  std::vector<double> out_host(nsys);
-
-  std::vector<double> lambda0(N);
-  projector_.initial_lambda(lambda0.data());
-  std::vector<double> q0(N);
-  f_.apply(lambda0.data(), q0.data());
-
-  const auto finalize = [&](std::size_t j, bool converged, bool download) {
-    System& s = sys[j];
-    if (download) {
-      main.memcpy_d2h(s.lambda.data(), s.d_lambda, vec_bytes);
-      main.memcpy_d2h(s.r.data(), s.d_r, vec_bytes);
-      main.synchronize();
-    }
-    if (converged && recycler != nullptr && s.iterations > 0) {
-      // Identical harvest to the host engine, on the downloaded state.
-      std::vector<double> inc(N);
-      std::vector<double> finc(N);
-      const std::vector<double>& dj = *d[j];
-      for (idx i = 0; i < n; ++i) {
-        inc[i] = s.lambda[i] - lambda0[i];
-        finc[i] = dj[i] - s.r[i] - q0[i];
-      }
-      recycler->absorb(inc.data(), finc.data());
-    }
-    results[j].iterations = s.iterations;
-    results[j].rel_residual = s.rel;
-    results[j].converged = converged;
-    results[j].deflation_dim = s.deflation_dim;
-    results[j].alpha = projector_.alpha(s.r.data());
-    results[j].lambda = std::move(s.lambda);
-    s.active = false;
-  };
-
-  std::vector<const double*> cptrs;
-  std::vector<double*> ptrs;
-  // Device twin of the deflated preconditioner step: M⁻¹ on device views,
-  // device projector, then the recycler's device panel projection. A
-  // preconditioner pooled on a different execution context (the sharded
-  // operator anchors on its internal shard-0 context) needs `main` drained
-  // first — its streams carry no ordering against the main queue.
-  const bool foreign_m =
-      m_ != nullptr && m_->device_context() != ctx;
-  const auto precondition = [&](const std::vector<std::size_t>& js) {
-    if (js.empty()) return;
-    const bool deflate = recycler != nullptr && recycler->dim() > 0;
-    ptrs.clear();
-    for (std::size_t j : js) ptrs.push_back(sys[j].d_y);
-    if (m_ == nullptr) {
-      for (std::size_t j : js)
-        gpu::kernels::copy(main, sys[j].d_w, sys[j].d_y, n);
-    } else if (js.size() == 1) {
-      System& s = sys[js.front()];
-      if (foreign_m) main.synchronize();
-      m_->apply_device(s.d_w, tin, 1);
-      projector_.apply_device(dev, main, {tin}, {s.d_y});
-    } else {
-      cptrs.clear();
-      for (std::size_t j : js) cptrs.push_back(sys[j].d_w);
-      gpu::kernels::pack_columns(main, cptrs, tin, n);
-      if (foreign_m) main.synchronize();
-      m_->apply_device(tin, tout, static_cast<idx>(js.size()));
-      cptrs.clear();
-      for (std::size_t b = 0; b < js.size(); ++b)
-        cptrs.push_back(tout + b * N);
-      projector_.apply_device(dev, main, cptrs, ptrs);
-    }
-    if (deflate) recycler->project_out_device(dev, main, ptrs);
-  };
-
-  // Host-side setup identical to the host engine (floor check, Galerkin
-  // warm start, the *batched* first preconditioned direction), then one
-  // upload of the live per-system state.
-  std::vector<std::vector<double>> w0v(nsys), y0(nsys);
-  std::vector<double> t_host(N), tin_host, tout_host;
-  std::vector<std::size_t> pending;
-  for (std::size_t j = 0; j < nsys; ++j) {
-    System& s = sys[j];
-    s.lambda = lambda0;
-    s.r.resize(N);
-    const std::vector<double>& dj = *d[j];
-    for (idx i = 0; i < n; ++i) s.r[i] = dj[i] - q0[i];
-    w0v[j].resize(N);
-    projector_.apply(s.r.data(), w0v[j].data());
-    s.w0_norm = la::nrm2(n, w0v[j].data());
-    if (s.w0_norm <= w0_floor(n, la::nrm2(n, dj.data()))) {
-      s.rel = 0.0;
-      finalize(j, /*converged=*/true, /*download=*/false);
-      continue;
-    }
-    if (recycler != nullptr && recycler->dim() > 0) {
-      s.deflation_dim = recycler->deflate_initial(s.lambda.data(),
-                                                  s.r.data());
-      projector_.apply(s.r.data(), w0v[j].data());
-    }
-    pending.push_back(j);
-  }
-  if (!pending.empty()) {
-    const bool deflate = recycler != nullptr && recycler->dim() > 0;
-    const auto project_y = [&](const double* src, double* dst) {
-      if (deflate)
-        projector_.apply_deflated(src, dst, *recycler);
-      else
-        projector_.apply(src, dst);
-    };
-    for (std::size_t j : pending) y0[j].resize(N);
-    if (m_ == nullptr) {
-      for (std::size_t j : pending) {
-        y0[j] = w0v[j];
-        if (deflate) recycler->project_out(y0[j].data(), 1);
-      }
-    } else if (pending.size() == 1) {
-      const std::size_t j = pending.front();
-      m_->apply(w0v[j].data(), t_host.data());
-      project_y(t_host.data(), y0[j].data());
-    } else {
-      tin_host.resize(N * pending.size());
-      tout_host.resize(tin_host.size());
-      for (std::size_t b = 0; b < pending.size(); ++b)
-        std::copy_n(w0v[pending[b]].data(), n, tin_host.data() + b * N);
-      m_->apply(tin_host.data(), tout_host.data(),
-                static_cast<idx>(pending.size()));
-      for (std::size_t b = 0; b < pending.size(); ++b)
-        project_y(tout_host.data() + b * N, y0[pending[b]].data());
-    }
-  }
-  for (std::size_t j : pending) {
-    System& s = sys[j];
-    main.memcpy_h2d(s.d_lambda, s.lambda.data(), vec_bytes);
-    main.memcpy_h2d(s.d_r, s.r.data(), vec_bytes);
-    main.memcpy_h2d(s.d_w, w0v[j].data(), vec_bytes);
-    main.memcpy_h2d(s.d_y, y0[j].data(), vec_bytes);
-    main.memcpy_h2d(s.d_p, y0[j].data(), vec_bytes);  // p = y
-  }
-  main.synchronize();
-
-  std::vector<double> coeff_host;
-  la::DenseMatrix gram_mat;
-  std::vector<std::size_t> batch;
-  GramSolver gram;
-  for (;;) {
-    batch.clear();
-    std::vector<std::size_t> active;
-    cptrs.clear();
-    for (std::size_t j = 0; j < nsys; ++j) {
-      if (!sys[j].active) continue;
-      active.push_back(j);
-      cptrs.push_back(sys[j].d_w);
-    }
-    if (active.empty()) break;
-    gpu::kernels::nrm2_many(main, cptrs, n, out_dev);
-    main.memcpy_d2h(out_host.data(), out_dev,
-                    active.size() * sizeof(double));
-    main.synchronize();
-    for (std::size_t b = 0; b < active.size(); ++b) {
-      const std::size_t j = active[b];
-      System& s = sys[j];
-      s.rel = out_host[b] / s.w0_norm;
-      if (s.rel <= options_.rel_tolerance) {
-        finalize(j, /*converged=*/true, /*download=*/true);
-      } else if (s.iterations >= options_.max_iterations) {
-        finalize(j, /*converged=*/false, /*download=*/true);
-      } else {
-        batch.push_back(j);
-      }
-    }
-    if (batch.empty()) break;
-
-    // Shared panel apply Q = F P; width 1 aliases the system's own device
-    // direction exactly like the host engine's width-1 path.
-    const idx width = static_cast<idx>(batch.size());
-    const double* panel = nullptr;
-    if (width == 1) {
-      System& s = sys[batch.front()];
-      f_.apply_device(s.d_p, ypanel, 1);
-      panel = s.d_p;
-    } else {
-      cptrs.clear();
-      for (std::size_t j : batch) cptrs.push_back(sys[j].d_p);
-      gpu::kernels::pack_columns(main, cptrs, xpanel, n);
-      f_.apply_device(xpanel, ypanel, width);
-      panel = xpanel;
-    }
-    const gpu::DeviceDense pdev{const_cast<double*>(panel), n, width, n,
-                                la::Layout::ColMajor};
-    const gpu::DeviceDense qdev{ypanel, n, width, n, la::Layout::ColMajor};
-
-    // Gram block PᵀFP as one device gemm; only the width² block comes back
-    // for the host-side rank-revealing factorization.
-    main.submit([pdev, qdev, gram_dev, width] {
-      la::DenseView g(gram_dev, width, width, width, la::Layout::ColMajor);
-      la::gemm(1.0, pdev.cview(), la::Trans::Yes, qdev.cview(), la::Trans::No,
-               0.0, g);
-    });
-    gram_mat = la::DenseMatrix(width, width, la::Layout::ColMajor);
-    main.memcpy_d2h(gram_mat.data(), gram_dev,
-                    static_cast<std::size_t>(width) * width * sizeof(double));
-    main.synchronize();
-    gram.factor(gram_mat, options_.block.pivot_rel_tolerance);
-    if (gram.rank() == 0) {
-      // Whole-panel breakdown, same contract as the host engine; s.rel
-      // already holds the value the host recomputes.
-      check(!throw_on_breakdown,
-            "Pcpg: operator lost positive definiteness");
-      for (std::size_t j : batch) {
-        ++sys[j].iterations;
-        finalize(j, /*converged=*/false, /*download=*/true);
-      }
-      continue;
-    }
-
-    // Step coefficients for every system: one fused Pᵀw sweep, one
-    // coefficient-block round trip for the host Gram solves, one fused
-    // λ/r update sweep, then the batched device projector.
-    const std::size_t W = static_cast<std::size_t>(width);
-    {
-      std::vector<const double*> wptrs;
-      for (std::size_t j : batch) wptrs.push_back(sys[j].d_w);
-      main.submit([pdev, coeff_dev, W, wptrs] {
-        for (std::size_t b = 0; b < wptrs.size(); ++b)
-          la::gemv(1.0, pdev.cview(), la::Trans::Yes, wptrs[b], 0.0,
-                   coeff_dev + b * W);
-      });
-    }
-    coeff_host.resize(W * batch.size());
-    main.memcpy_d2h(coeff_host.data(), coeff_dev,
-                    coeff_host.size() * sizeof(double));
-    main.synchronize();
-    for (std::size_t b = 0; b < batch.size(); ++b)
-      gram.solve(coeff_host.data() + b * W);
-    main.memcpy_h2d(coeff_dev, coeff_host.data(),
-                    coeff_host.size() * sizeof(double));
-    {
-      std::vector<double*> lam_ptrs, r_ptrs;
-      for (std::size_t j : batch) {
-        lam_ptrs.push_back(sys[j].d_lambda);
-        r_ptrs.push_back(sys[j].d_r);
-      }
-      main.submit([pdev, qdev, coeff_dev, W, lam_ptrs, r_ptrs] {
-        for (std::size_t b = 0; b < lam_ptrs.size(); ++b) {
-          la::gemv(1.0, pdev.cview(), la::Trans::No, coeff_dev + b * W, 1.0,
-                   lam_ptrs[b]);
-          la::gemv(-1.0, qdev.cview(), la::Trans::No, coeff_dev + b * W, 1.0,
-                   r_ptrs[b]);
-        }
-      });
-    }
-    cptrs.clear();
-    ptrs.clear();
-    for (std::size_t j : batch) {
-      cptrs.push_back(sys[j].d_r);
-      ptrs.push_back(sys[j].d_w);
-    }
-    projector_.apply_device(dev, main, cptrs, ptrs);
-    for (std::size_t j : batch) ++sys[j].iterations;
-
-    // Next panel: preconditioned (and deflation-projected) residuals,
-    // conjugated against the current panel — one fused QᵀY sweep, one
-    // coefficient round trip, one fused p-update sweep.
-    precondition(batch);
-    {
-      std::vector<const double*> yptrs;
-      for (std::size_t j : batch) yptrs.push_back(sys[j].d_y);
-      main.submit([qdev, coeff_dev, W, yptrs] {
-        for (std::size_t b = 0; b < yptrs.size(); ++b)
-          la::gemv(1.0, qdev.cview(), la::Trans::Yes, yptrs[b], 0.0,
-                   coeff_dev + b * W);
-      });
-    }
-    main.memcpy_d2h(coeff_host.data(), coeff_dev,
-                    coeff_host.size() * sizeof(double));
-    main.synchronize();
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      gram.solve(coeff_host.data() + b * W);
-      la::scal(width, -1.0, coeff_host.data() + b * W);
-    }
-    main.memcpy_h2d(coeff_dev, coeff_host.data(),
-                    coeff_host.size() * sizeof(double));
-    if (width == 1) {
-      // The panel aliases d_p: conjugate in place on y and swap pointers,
-      // mirroring the host engine's width-1 recurrence.
-      System& s = sys[batch.front()];
-      double* d_y = s.d_y;
-      main.submit([pdev, coeff_dev, d_y] {
-        la::gemv(1.0, pdev.cview(), la::Trans::No, coeff_dev, 1.0, d_y);
-      });
-      std::swap(s.d_p, s.d_y);
-    } else {
-      std::vector<const double*> yptrs;
-      ptrs.clear();
-      for (std::size_t j : batch) {
-        yptrs.push_back(sys[j].d_y);
-        ptrs.push_back(sys[j].d_p);
-      }
-      main.submit([pdev, coeff_dev, W, n, yptrs, ptrs] {
-        for (std::size_t b = 0; b < yptrs.size(); ++b) {
-          std::copy_n(yptrs[b], static_cast<std::size_t>(n), ptrs[b]);
-          la::gemv(1.0, pdev.cview(), la::Trans::No, coeff_dev + b * W, 1.0,
-                   ptrs[b]);
-        }
-      });
-    }
-  }
-  return results;
+  HostSpace space(f_, m_, projector_);
+  return engine.solve(space, d, nsys, throw_on_breakdown);
 }
 
 }  // namespace feti::core

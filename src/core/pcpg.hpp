@@ -4,6 +4,18 @@
 // the paper: the dual operator F is applied once per iteration (line 7),
 // the projector twice, the preconditioner once.
 //
+// One solver loop (core/pcpg.cpp) runs every solve. It is written once over
+// a vector space that says where the loop state lives and how F, M⁻¹, the
+// projector and the recycler projection consume it: the host space keeps it
+// in host memory and runs the la:: arithmetic inline; the device space
+// keeps it on the dual operator's device and submits the same arithmetic on
+// its main stream (PcpgOptions::device_state). Inside the loop two step
+// rules are chosen by options.block.enabled: lockstep (per-system pᵀq and
+// wᵀy scalars) and block (one shared search panel with a PᵀFP Gram
+// system). Setup and finalization run on the host for both spaces, and the
+// scalars the loop decides on reach the host at explicit readback points
+// only, so host and device runs agree bit for bit.
+//
 // solve_many() runs several independent dual systems in lockstep and
 // funnels their per-iteration operator applications through the batched
 // DualOperator::apply(X, Y, nrhs) entry point, so operators with a batch
@@ -33,12 +45,6 @@ class Preconditioner;
 namespace feti::core {
 
 class KrylovRecycler;
-
-/// Pre-registry preconditioner selector, kept so legacy callers compile;
-/// the string key in PcpgOptions is the real interface now.
-enum class PreconditionerKind : std::uint8_t { None, Lumped };
-
-const char* to_string(PreconditionerKind p);
 
 /// Block-mode and recycling knobs of the PCPG loop. Both default off — the
 /// per-system lockstep iteration is the historical behavior.
@@ -80,8 +86,8 @@ struct PcpgOptions {
   /// views (no per-iteration H2D/D2H vector staging), the projector and
   /// deflation G/U-panel products run as device kernels, and only the
   /// small Gram blocks and convergence scalars cross PCIe per iteration.
-  /// Bit-identical to the host-staged loop (same kernels, same order), so
-  /// iteration counts match exactly.
+  /// Bit-identical to the host-staged loop (the same loop and arithmetic),
+  /// so iteration counts match exactly.
   ///   Auto — use the device path when eligible, fall back to the host
   ///          path otherwise (including on device out-of-memory);
   ///   Off  — always host-staged;
@@ -99,12 +105,6 @@ struct PcpgOptions {
   BlockPcpgOptions block;
   /// Device-residency mode of the solver loop (see DeviceState).
   DeviceState device_state = DeviceState::Auto;
-
-  /// Deprecated enum-based selector; assigns the equivalent registry key.
-  [[deprecated("assign the registry key to `preconditioner` instead")]]
-  void set_preconditioner(PreconditionerKind kind) {
-    preconditioner = to_string(kind);
-  }
 };
 
 struct PcpgResult {
@@ -157,39 +157,18 @@ class Pcpg {
   void set_recycler(KrylovRecycler* recycler) { recycler_ = recycler; }
 
  private:
-  /// Routes a solve to the device-resident or host-staged engine per
-  /// options.device_state (Auto additionally falls back to the host engine
-  /// when the device runs out of memory mid-setup).
+  /// Runs the solver loop in the device space or the host space per
+  /// options.device_state (Auto additionally re-runs it on the host when
+  /// the device runs out of memory). `throw_on_breakdown` preserves
+  /// solve()'s historical throwing contract; solve_many() instead reports
+  /// the broken system as non-converged.
   std::vector<PcpgResult> run(const std::vector<double>* const* d,
                               std::size_t nsys, bool throw_on_breakdown);
 
-  /// True when the device engines may run: the operator has a device
-  /// context and the preconditioner (if any) does too. Throws under
+  /// True when the device space may run: the operator has a device context
+  /// and the preconditioner (if any) does too. Throws under
   /// DeviceState::On when the requirement is unmet.
   [[nodiscard]] bool device_eligible();
-
-  /// Shared lockstep implementation over borrowed right-hand sides.
-  /// `throw_on_breakdown` preserves solve()'s historical throwing contract;
-  /// solve_many() instead reports the broken system as non-converged.
-  std::vector<PcpgResult> solve_impl(const std::vector<double>* const* d,
-                                     std::size_t nsys,
-                                     bool throw_on_breakdown);
-
-  /// Shared-Krylov block implementation (options.block.enabled); same
-  /// result contract as solve_impl, plus deflation/recycling.
-  std::vector<PcpgResult> solve_block_impl(const std::vector<double>* const* d,
-                                           std::size_t nsys,
-                                           bool throw_on_breakdown);
-
-  /// Device-resident twins of the two engines: per-system state lives on
-  /// the operator's device for the whole solve, per-iteration PCIe traffic
-  /// is O(scalars). Bit-identical results and iteration counts.
-  std::vector<PcpgResult> solve_impl_device(const std::vector<double>* const* d,
-                                            std::size_t nsys,
-                                            bool throw_on_breakdown);
-  std::vector<PcpgResult> solve_block_impl_device(
-      const std::vector<double>* const* d, std::size_t nsys,
-      bool throw_on_breakdown);
 
   DualOperator& f_;
   const Projector& projector_;

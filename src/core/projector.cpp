@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/krylov_recycler.hpp"
 #include "gpu/blas.hpp"
 #include "gpu/kernels.hpp"
 #include "gpu/runtime.hpp"
@@ -121,15 +120,6 @@ void Projector::apply(const double* x, double* y) const {
   coarse_solve(s);
   std::copy_n(x, nl, y);
   la::gemv(-1.0, g_.cview(), la::Trans::No, s.data(), 1.0, y);
-}
-
-void Projector::apply_deflated(const double* x, double* y,
-                               const KrylovRecycler& recycler) const {
-  apply(x, y);
-  if (recycler.dim() == 0) return;
-  check(recycler.n() == p_.num_lambdas,
-        "Projector: deflation panel dimension mismatch");
-  recycler.project_out(y, 1);
 }
 
 std::vector<double> Projector::compute_e() const {

@@ -15,8 +15,6 @@ class Stream;
 
 namespace feti::core {
 
-class KrylovRecycler;
-
 class Projector {
  public:
   /// Builds G column-block by column-block (G_i = B̃ᵢ Rᵢ scattered through
@@ -41,16 +39,6 @@ class Projector {
   void apply_device(gpu::Device& dev, gpu::Stream& s,
                     const std::vector<const double*>& xs,
                     const std::vector<double*>& ys) const;
-
-  /// Deflation-augmented apply: y = (I − U (UᵀFU)⁻¹ (FU)ᵀ) P x for the
-  /// recycled panel U (GᵀU = 0 holds since the columns are former PCPG
-  /// search directions, so the two projections commute). The result stays
-  /// in the projector's range AND F-orthogonal to span(U) — the
-  /// per-iteration contract of deflated PCPG. The small Gram solve lives
-  /// in the recycler (core/krylov_recycler.hpp); empty panels degrade to
-  /// the plain apply.
-  void apply_deflated(const double* x, double* y,
-                      const KrylovRecycler& recycler) const;
 
   /// λ₀ = G (GᵀG)⁻¹ e — the initial multiplier satisfying Gᵀλ = e. The
   /// vector e = Rᵀ f is recomputed from the problem's current load vectors,

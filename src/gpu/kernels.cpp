@@ -14,63 +14,6 @@ void fill_zero(Stream& s, double* data, idx n) {
   s.submit([data, n] { std::fill_n(data, n, 0.0); });
 }
 
-void copy(Stream& s, const double* src, double* dst, idx n) {
-  s.submit([src, dst, n] { std::copy_n(src, n, dst); });
-}
-
-void dot_many(Stream& s, std::vector<const double*> xs,
-              std::vector<const double*> ys, idx n, double* out) {
-  s.submit([xs = std::move(xs), ys = std::move(ys), n, out] {
-    for (std::size_t b = 0; b < xs.size(); ++b)
-      out[b] = la::dot(n, xs[b], ys[b]);
-  });
-}
-
-void nrm2_many(Stream& s, std::vector<const double*> xs, idx n, double* out) {
-  s.submit([xs = std::move(xs), n, out] {
-    for (std::size_t b = 0; b < xs.size(); ++b) out[b] = la::nrm2(n, xs[b]);
-  });
-}
-
-void axpy_many(Stream& s, std::vector<double> alphas,
-               std::vector<const double*> xs, std::vector<double*> ys,
-               idx n) {
-  s.submit([alphas = std::move(alphas), xs = std::move(xs),
-            ys = std::move(ys), n] {
-    for (std::size_t b = 0; b < xs.size(); ++b)
-      la::axpy(n, alphas[b], xs[b], ys[b]);
-  });
-}
-
-void xpby_many(Stream& s, std::vector<const double*> ys,
-               std::vector<double> betas, std::vector<double*> ps, idx n) {
-  s.submit([ys = std::move(ys), betas = std::move(betas),
-            ps = std::move(ps), n] {
-    for (std::size_t b = 0; b < ys.size(); ++b) {
-      const double beta = betas[b];
-      const double* y = ys[b];
-      double* p = ps[b];
-      for (idx i = 0; i < n; ++i) p[i] = y[i] + beta * p[i];
-    }
-  });
-}
-
-void pack_columns(Stream& s, std::vector<const double*> srcs, double* panel,
-                  idx n) {
-  s.submit([srcs = std::move(srcs), panel, n] {
-    for (std::size_t b = 0; b < srcs.size(); ++b)
-      std::copy_n(srcs[b], n, panel + b * static_cast<std::size_t>(n));
-  });
-}
-
-void unpack_columns(Stream& s, const double* panel, std::vector<double*> dsts,
-                    idx n) {
-  s.submit([panel, dsts = std::move(dsts), n] {
-    for (std::size_t b = 0; b < dsts.size(); ++b)
-      std::copy_n(panel + b * static_cast<std::size_t>(n), n, dsts[b]);
-  });
-}
-
 void demote(Stream& s, DeviceDense src, DeviceDenseF32 dst) {
   s.submit([src, dst] { la::demote(src.cview(), dst.view()); });
 }

@@ -34,8 +34,8 @@ void TempAllocator::init(char* base, std::size_t bytes) {
   FETI_ASSERT(used_.empty(), "TempAllocator: re-init while blocks are live");
   base_ = base;
   capacity_ = bytes;
-  free_list_.clear();
-  if (bytes > 0) free_list_.push_back({0, bytes});
+  free_.clear();
+  if (bytes > 0) free_.emplace(0, bytes);
 }
 
 namespace {
@@ -46,15 +46,14 @@ std::size_t round_up(std::size_t v) {
 }  // namespace
 
 bool TempAllocator::try_alloc_locked(std::size_t bytes, std::size_t& offset) {
-  for (std::size_t i = 0; i < free_list_.size(); ++i) {
-    if (free_list_[i].size >= bytes) {
-      offset = free_list_[i].offset;
-      free_list_[i].offset += bytes;
-      free_list_[i].size -= bytes;
-      if (free_list_[i].size == 0)
-        free_list_.erase(free_list_.begin() + static_cast<long>(i));
-      return true;
-    }
+  // First fit by offset.
+  for (auto it = free_.begin(); it != free_.end(); ++it) {
+    if (it->second < bytes) continue;
+    offset = it->first;
+    const std::size_t rest = it->second - bytes;
+    free_.erase(it);
+    if (rest > 0) free_.emplace(offset + bytes, rest);
+    return true;
   }
   return false;
 }
@@ -70,10 +69,7 @@ void* TempAllocator::alloc(std::size_t bytes) {
     contention_ += 1;
     cv_.wait(lock, [&] { return try_alloc_locked(bytes, offset); });
   }
-  // Record as used, sorted by offset (for coalescing on free).
-  auto it = used_.begin();
-  while (it != used_.end() && it->offset < offset) ++it;
-  used_.insert(it, {offset, bytes});
+  used_.emplace(offset, bytes);
   return base_ + offset;
 }
 
@@ -84,43 +80,38 @@ void TempAllocator::free(void* p) {
   check(p >= base_ && p < base_ + capacity_,
         "TempAllocator::free: pointer does not belong to the temporary "
         "pool (wrong allocator?)");
-  const auto offset = static_cast<std::size_t>(static_cast<char*>(p) - base_);
-  Block blk{0, 0};
-  bool found = false;
-  for (auto it = used_.begin(); it != used_.end(); ++it) {
-    if (it->offset == offset) {
-      blk = *it;
-      used_.erase(it);
-      found = true;
-      break;
-    }
-  }
-  check(found,
+  std::size_t offset = static_cast<std::size_t>(static_cast<char*>(p) - base_);
+  const auto live = used_.find(offset);
+  check(live != used_.end(),
         "TempAllocator::free: pointer at pool offset " +
             std::to_string(offset) +
             " is not a live allocation (double free, or not an allocation "
             "start)");
-  // Insert into the free list sorted by offset and coalesce neighbours.
-  auto it = free_list_.begin();
-  while (it != free_list_.end() && it->offset < blk.offset) ++it;
-  it = free_list_.insert(it, blk);
-  if (it + 1 != free_list_.end() &&
-      it->offset + it->size == (it + 1)->offset) {
-    it->size += (it + 1)->size;
-    free_list_.erase(it + 1);
+  std::size_t size = live->second;
+  used_.erase(live);
+  // Coalesce with the free neighbours on either side.
+  const auto next = free_.lower_bound(offset);
+  if (next != free_.end() && offset + size == next->first) {
+    size += next->second;
+    free_.erase(next);
   }
-  if (it != free_list_.begin() &&
-      (it - 1)->offset + (it - 1)->size == it->offset) {
-    (it - 1)->size += it->size;
-    free_list_.erase(it);
+  const auto after = free_.lower_bound(offset);
+  if (after != free_.begin()) {
+    const auto prev = std::prev(after);
+    if (prev->first + prev->second == offset) {
+      offset = prev->first;
+      size += prev->second;
+      free_.erase(prev);
+    }
   }
+  free_.emplace(offset, size);
   cv_.notify_all();
 }
 
 std::size_t TempAllocator::in_use() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t total = 0;
-  for (const auto& b : used_) total += b.size;
+  for (const auto& [offset, size] : used_) total += size;
   return total;
 }
 
@@ -419,11 +410,6 @@ TempAllocator& Device::temp() {
 std::size_t Device::memory_used() const {
   std::lock_guard<std::mutex> lock(mem_mutex_);
   return mem_used_;
-}
-
-Device& Device::default_device() {
-  static Device device{DeviceConfig::from_env()};
-  return device;
 }
 
 }  // namespace feti::gpu

@@ -118,18 +118,14 @@ class TempAllocator {
   [[nodiscard]] long contention_count() const;
 
  private:
-  struct Block {
-    std::size_t offset;
-    std::size_t size;
-  };
   bool try_alloc_locked(std::size_t bytes, std::size_t& offset);
 
   char* base_ = nullptr;
   std::size_t capacity_ = 0;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<Block> free_list_;
-  std::deque<Block> used_;  // sorted by offset
+  std::map<std::size_t, std::size_t> free_;  ///< offset → size, coalesced
+  std::map<std::size_t, std::size_t> used_;  ///< offset → size
   long contention_ = 0;
 };
 
@@ -218,12 +214,6 @@ class Device {
   [[nodiscard]] std::size_t memory_capacity() const {
     return cfg_.memory_bytes;
   }
-
-  /// Process-wide default device (configured from the environment).
-  /// Compatibility shim for leaf code only: operators, benches, and
-  /// examples receive their resources through gpu::ExecutionContext
-  /// (gpu/context.hpp) instead.
-  static Device& default_device();
 
   // Internal plumbing used by Stream (public because Stream::Impl lives in
   // the implementation file).

@@ -209,6 +209,28 @@ TEST(TempAllocator, DoubleFreeAndInteriorPointerThrow) {
   EXPECT_EQ(temp.in_use(), 0u);
 }
 
+TEST(TempAllocator, FreeCoalescesWithBothNeighboursInAnyOrder) {
+  DeviceConfig cfg = test_config();
+  cfg.memory_bytes = 8 << 20;
+  Device dev(cfg);
+  dev.init_temp_pool();
+  auto& temp = dev.temp();
+  // Eight adjacent blocks filling the whole pool.
+  const std::size_t blk = temp.capacity() / 8 / 64 * 64;
+  std::vector<void*> x;
+  for (int i = 0; i < 7; ++i) x.push_back(temp.alloc(blk));
+  x.push_back(temp.alloc(temp.capacity() - 7 * blk));
+  // Four separate free blocks, then x0 merges forward into x1 at the front
+  // of the free list, and x2, x4, x6 each merge with both neighbours.
+  for (std::size_t i : {1, 3, 5, 7, 0, 2, 4, 6}) temp.free(x[i]);
+  EXPECT_EQ(temp.in_use(), 0u);
+  // Fully coalesced: one request for the whole pool fits without waiting.
+  void* all = temp.alloc(temp.capacity());
+  EXPECT_EQ(all, x.front());
+  EXPECT_EQ(temp.contention_count(), 0);
+  temp.free(all);
+}
+
 TEST(DeviceMemory, DoubleFreeAndForeignPointerThrow) {
   Device dev(test_config());
   void* p = dev.alloc(1 << 12);
@@ -398,6 +420,23 @@ TEST(SpTrsmPlanProps, ModernHoldsLargerPersistentBuffers) {
                                la::Layout::ColMajor, 64);
   EXPECT_GT(legacy_cm.workspace_bytes(64), 0u);
   s.synchronize();
+}
+
+TEST(SpTrsmPlanProps, ReleasesEarlierBuffersWhenALaterAllocationFails) {
+  // The factor structure fits; the modern API's persistent dense RHS
+  // workspace (n × 512 doubles), allocated after it, does not.
+  la::Csr a = testing::random_spd(600, 0.05, 42);
+  la::Csr u = a.triangle(la::Uplo::Upper);
+  DeviceConfig cfg = test_config();
+  cfg.memory_bytes = sizeof(double) * 600 * 512 / 2;
+  Device dev(cfg);
+  Stream s = dev.create_stream();
+  const std::size_t baseline = dev.memory_used();
+  EXPECT_THROW(sparse::SpTrsmPlan(dev, s, sparse::Api::Modern, u,
+                                  la::Layout::ColMajor, true,
+                                  la::Layout::RowMajor, 512),
+               std::bad_alloc);
+  EXPECT_EQ(dev.memory_used(), baseline);
 }
 
 TEST(SpTrsmPlanProps, ValueRefreshTracksNewFactorization) {

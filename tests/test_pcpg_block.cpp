@@ -1,7 +1,7 @@
 // Tests for the block-PCPG path (shared Krylov panel, rank-revealing Gram
 // deflation), cross-step Krylov recycling, and the solver-loop reporting
-// fixes: consistent breakdown state in batches, the scaled zero-RHS floor,
-// and the exhaustive PreconditionerKind shim.
+// fixes: consistent breakdown state in batches and the scaled zero-RHS
+// floor.
 
 #include <gtest/gtest.h>
 
@@ -204,15 +204,6 @@ TEST(PcpgZeroRhs, ExactZeroStillFinalizes) {
   PcpgResult res = pcpg.solve(d);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.iterations, 0);
-}
-
-// ---------------------------------------------------------------------------
-// PreconditionerKind shim
-// ---------------------------------------------------------------------------
-
-TEST(PreconditionerKind, ToStringCoversEveryEnumerator) {
-  EXPECT_STREQ(core::to_string(core::PreconditionerKind::None), "none");
-  EXPECT_STREQ(core::to_string(core::PreconditionerKind::Lumped), "lumped");
 }
 
 // ---------------------------------------------------------------------------
